@@ -10,6 +10,7 @@ the known side), selectable to [2:N] \\ {d} via ``complement="relays"``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -17,7 +18,15 @@ import numpy as np
 
 from .errors import InvalidCut, WrongForm, WrongN
 from .network import Network, SchemeDistribution, U, V, X, Y, Yhat, assemble_joint
-from .probability import JointDistribution, Var, entropy, mi, product_compose
+from .probability import (
+    InfoAtom,
+    JointDistribution,
+    entropy,
+    mi,
+    mutual_information,
+    product_compose,
+    reduced_atom,
+)
 
 EPS_FEAS = 1e-9
 
@@ -63,11 +72,6 @@ class BoundReport:
     feasible: bool = True
 
 
-def _infer_n(j: JointDistribution) -> int:
-    ks = [int(v.name[1:]) for v in j.var_list if v.name.startswith("X") and v.name[1:].isdigit()]
-    return max(ks)
-
-
 def _positions(n: int, perm=None) -> dict[int, int]:
     order = list(perm) if perm else list(range(2, n + 1))
     if sorted(order) != list(range(2, n + 1)):
@@ -79,14 +83,18 @@ def _before(nodes, k, pos) -> list[int]:
     return [j for j in nodes if pos[j] < pos[k]]
 
 
-def term_values(
-    j: JointDistribution,
-    c: CutSpec,
-    complement: str = "all",
-    perm=None,
-) -> tuple[float, float, float, float]:
-    """The four information terms of one (d, S, T) cut, in bits."""
-    n = _infer_n(j)
+def _perm_key(perm):
+    return tuple(perm) if perm else None
+
+
+def _mi(j: JointDistribution, atom: InfoAtom | None) -> float:
+    return 0.0 if atom is None else mutual_information(j, atom)
+
+
+@functools.cache
+def _cut_plan(n: int, c: CutSpec, complement: str, perm):
+    """The atoms of one cut's four terms (None where a term is identically
+    0); term 4 as the flat list of its summands in relay order."""
     relays = set(range(2, n + 1))
     if not c.T <= relays - {c.d}:
         raise InvalidCut(f"T={set(c.T)} not within [2:{n}] minus destination")
@@ -105,35 +113,49 @@ def term_values(
     all_v = [V(k) for k in relays]
     all_u = [U(k) for k in relays]
 
-    t1 = mi(
-        j,
+    t1 = reduced_atom(
         [X(1), *[V(k) for k in S]],
         [*[U(k) for k in Sc], *[X(k) for k in Tc], *[Yhat(k) for k in Tc], yd],
         [V(k) for k in Sc],
     )
-    t2 = mi(
-        j,
+    t2 = reduced_atom(
         [*[X(k) for k in T], *[U(k) for k in S]],
         [*[Yhat(k) for k in Tc], yd],
         [X(1), *[X(k) for k in Tc], *all_v, *[U(k) for k in Sc]],
     )
-    t3 = mi(
-        j,
+    t3 = reduced_atom(
         [Yhat(k) for k in T],
         [Y(k) for k in T],
         [*[Yhat(k) for k in Tc], *all_x, *all_v, *all_u, yd],
     )
-    t4 = 0.0
+    t4 = []
     for k in Sc:
         earlier = _before(Sc, k, pos)
-        t4 += mi(
-            j,
-            [U(k)],
-            [*all_x, *all_v, *[U(i) for i in earlier]],
-            [V(k), X(k), Y(k)],
+        t4.append(
+            reduced_atom(
+                [U(k)],
+                [*all_x, *all_v, *[U(i) for i in earlier]],
+                [V(k), X(k), Y(k)],
+            )
         )
-        t4 += mi(j, [V(k)], [V(i) for i in earlier])
-    return (t1, t2, t3, t4)
+        t4.append(reduced_atom([V(k)], [V(i) for i in earlier]))
+    return t1, t2, t3, tuple(t4)
+
+
+def term_values(
+    j: JointDistribution,
+    c: CutSpec,
+    n: int,
+    complement: str = "all",
+    perm=None,
+) -> tuple[float, float, float, float]:
+    """The four information terms of one (d, S, T) cut of an N=``n``
+    network, in bits."""
+    t1, t2, t3, t4_atoms = _cut_plan(n, c, complement, _perm_key(perm))
+    t4 = 0.0
+    for atom in t4_atoms:
+        t4 += _mi(j, atom)
+    return (_mi(j, t1), _mi(j, t2), _mi(j, t3), t4)
 
 
 def admissible_cuts(n: int, d: int) -> list[CutSpec]:
@@ -145,6 +167,33 @@ def admissible_cuts(n: int, d: int) -> list[CutSpec]:
                 for s in itertools.combinations(t, s_size):
                     cuts.append(CutSpec(d, frozenset(s), frozenset(t)))
     return cuts
+
+
+@functools.cache
+def _feasibility_plan(n: int, perm):
+    """Per relay, its U and V labels; per relay subset S', the atoms of the
+    two sides of the decoding condition, each side in summation order."""
+    pos = _positions(n, perm)
+    relays = list(range(2, n + 1))
+    singles = tuple((k, frozenset({U(k)}), frozenset({V(k)})) for k in relays)
+    subsets = []
+    for size in range(1, len(relays) + 1):
+        for sp in itertools.combinations(relays, size):
+            sp_sorted = sorted(sp, key=pos.get)
+            lhs = tuple(reduced_atom([U(k)], [Y(k)], [X(k), V(k)]) for k in sp)
+            rhs = []
+            for k in sp:
+                earlier = _before(sp_sorted, k, pos)
+                rhs.append(reduced_atom([V(k)], [V(i) for i in earlier]))
+                rhs.append(
+                    reduced_atom(
+                        [U(k)],
+                        [*[U(i) for i in earlier], *[V(i) for i in sp]],
+                        [V(k)],
+                    )
+                )
+            subsets.append((frozenset(sp), tuple(sp_sorted), lhs, tuple(rhs)))
+    return singles, tuple(subsets)
 
 
 def feasibility_check(
@@ -161,34 +210,19 @@ def feasibility_check(
     side, so with all auxiliaries degenerate the list is empty.
     """
     j = joint if joint is not None else assemble_joint(net, scheme)
-    n = net.N
-    pos = _positions(n, perm)
+    singles, subsets = _feasibility_plan(net.N, _perm_key(perm))
     nondeg = {
-        k
-        for k in net.relays()
-        if entropy(j, [U(k)]) > 1e-12 or entropy(j, [V(k)]) > 1e-12
+        k for k, u, v in singles if entropy(j, u) > 1e-12 or entropy(j, v) > 1e-12
     }
     entries = []
-    relays = net.relays()
-    for size in range(1, len(relays) + 1):
-        for sp in itertools.combinations(relays, size):
-            if not (set(sp) & nondeg):
-                continue
-            sp_sorted = sorted(sp, key=pos.get)
-            lhs = sum(mi(j, [U(k)], [Y(k)], [X(k), V(k)]) for k in sp)
-            rhs = 0.0
-            for k in sp:
-                earlier = _before(sp_sorted, k, pos)
-                rhs += mi(j, [V(k)], [V(i) for i in earlier])
-                rhs += mi(
-                    j,
-                    [U(k)],
-                    [*[U(i) for i in earlier], *[V(i) for i in sp]],
-                    [V(k)],
-                )
-            entries.append(
-                FeasibilityEntry(tuple(sp_sorted), lhs, rhs, lhs - rhs)
-            )
+    for nodes, order, lhs_atoms, rhs_atoms in subsets:
+        if not (nodes & nondeg):
+            continue
+        lhs = sum(_mi(j, atom) for atom in lhs_atoms)
+        rhs = 0.0
+        for atom in rhs_atoms:
+            rhs += _mi(j, atom)
+        entries.append(FeasibilityEntry(order, lhs, rhs, lhs - rhs))
     return entries
 
 
@@ -211,7 +245,7 @@ def nncpdf_bound(
     for d in sorted(net.destinations):
         best = np.inf
         for c in admissible_cuts(net.N, d):
-            terms = term_values(j, c, complement=complement, perm=perm)
+            terms = term_values(j, c, net.N, complement=complement, perm=perm)
             total = terms[0] + terms[1] - terms[2] - terms[3]
             cuts.append(CutRecord(c, terms, total))
             best = min(best, total)
@@ -381,9 +415,9 @@ def cutset_value(net: Network, input_dist: np.ndarray) -> float:
     return float(best)
 
 
-def _simplex_grid(dim: int, points: int):
-    """All pmfs on ``dim`` outcomes with entries multiples of 1/(points-1)."""
-    steps = points - 1
+def _simplex_points(dim: int, resolution: int):
+    """All pmfs on a dim-simplex with entries in multiples of 1/(resolution-1)."""
+    steps = resolution - 1
     for comp in itertools.combinations_with_replacement(range(dim), steps):
         vec = np.zeros(dim)
         for i in comp:
@@ -399,7 +433,7 @@ def cutset_max_grid(
     """Grid-search estimate of max over joint input pmfs of cutset_value."""
     dim = int(np.prod(net.x_sizes))
     best = -np.inf
-    for p in _simplex_grid(dim, resolution):
+    for p in _simplex_points(dim, resolution):
         best = max(best, cutset_value(net, p))
     for p in extra_points:
         best = max(best, cutset_value(net, p))

@@ -79,3 +79,11 @@ class NotAffineInB(NncpdfError):
 
 class UnassignedAtom(NncpdfError):
     """A region evaluation is missing a value for some information atom."""
+
+
+class EliminationTooLarge(NncpdfError):
+    """A Fourier-Motzkin step produced more inequalities than the cap."""
+
+
+class LPFailed(NncpdfError):
+    """The linear-programming solver failed on a region evaluation."""

@@ -10,7 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import EPS_FEAS, feasibility_check, is_feasible, nncpdf_bound
+from .bounds import (
+    EPS_FEAS,
+    _simplex_points,
+    feasibility_check,
+    is_feasible,
+    nncpdf_bound,
+)
 from .errors import NoFeasibleStart, SearchSpaceTooLarge
 from .network import Network, SchemeDistribution, random_scheme
 
@@ -99,16 +105,6 @@ def _set_row(scheme: SchemeDistribution, row: _Row, value: np.ndarray) -> Scheme
 def _objective(net: Network, scheme: SchemeDistribution, eps_feas: float) -> float:
     report = nncpdf_bound(net, scheme, eps_feas=eps_feas)
     return report.bound if report.feasible else float("-inf")
-
-
-def _simplex_points(dim: int, resolution: int):
-    """All pmfs on a dim-simplex with entries in multiples of 1/(resolution-1)."""
-    steps = resolution - 1
-    for comp in itertools.combinations_with_replacement(range(dim), steps):
-        vec = np.zeros(dim)
-        for i in comp:
-            vec[i] += 1.0 / steps
-        yield vec
 
 
 def _grid_count(dim: int, resolution: int) -> int:

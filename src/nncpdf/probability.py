@@ -1,15 +1,18 @@
 """Dense probability tensors over labeled finite variables and the
 information measures (entropy, conditional mutual information) built on them.
 
-All masses are float64, all logarithms are base 2 (bits).  Variables with
-alphabet size 1 are allowed; being constants they contribute nothing to any
-information measure, which is how degenerate auxiliaries are encoded.
+All masses are float64, all logarithms are base 2 (bits).  A joint remembers
+each entropy it has been asked for, one value per distinct set of axes.
+Variables with alphabet size 1 are allowed; being constants they contribute
+nothing to any information measure, which is how degenerate auxiliaries are
+encoded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +30,6 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-9
 NEGATIVE_MASS_TOL = -1e-15
-NONNEG_CLAMP = 1e-10
 MAX_STATES = 2 ** 24
 
 
@@ -52,6 +54,8 @@ def _as_var(v) -> Var:
 
 
 def _var_set(vs: Iterable) -> frozenset[Var]:
+    if isinstance(vs, frozenset) and all(isinstance(v, Var) for v in vs):
+        return vs
     return frozenset(_as_var(v) for v in vs)
 
 
@@ -99,8 +103,7 @@ class JointDistribution:
     def __post_init__(self):
         variables = tuple((_as_var(v), int(n)) for v, n in self.variables)
         object.__setattr__(self, "variables", variables)
-        names = [v for v, _ in variables]
-        if len(set(names)) != len(names):
+        if len(self._axis) != len(variables):
             raise ShapeMismatch("duplicate variable labels in joint")
         sizes = tuple(n for _, n in variables)
         if any(n < 1 for n in sizes):
@@ -118,25 +121,32 @@ class JointDistribution:
         arr.setflags(write=False)
         object.__setattr__(self, "mass", arr)
 
-    @property
-    def var_list(self) -> list[Var]:
-        return [v for v, _ in self.variables]
+    @classmethod
+    def _computed(cls, variables, mass: np.ndarray) -> "JointDistribution":
+        """Wrap an array this module has just computed from a valid joint:
+        no re-validation and no copy."""
+        d = object.__new__(cls)
+        mass = mass.reshape(tuple(n for _, n in variables))
+        mass.setflags(write=False)
+        object.__setattr__(d, "variables", variables)
+        object.__setattr__(d, "mass", mass)
+        return d
 
-    def size_of(self, v: Var) -> int:
-        for u, n in self.variables:
-            if u == v:
-                return n
-        raise UnknownVariable(str(v))
+    @cached_property
+    def _axis(self) -> dict[Var, int]:
+        return {v: i for i, (v, _) in enumerate(self.variables)}
+
+    @cached_property
+    def _entropies(self) -> dict[frozenset[int], float]:
+        """H(A) in bits per axis set A, filled on demand by ``entropy``."""
+        return {}
 
     def axes_of(self, vs: Iterable[Var]) -> list[int]:
-        order = {v: i for i, (v, _) in enumerate(self.variables)}
-        axes = []
-        for v in vs:
-            v = _as_var(v)
-            if v not in order:
-                raise UnknownVariable(str(v))
-            axes.append(order[v])
-        return axes
+        order = self._axis
+        try:
+            return [order[_as_var(v)] for v in vs]
+        except KeyError as exc:
+            raise UnknownVariable(str(exc.args[0])) from None
 
 
 def validate_pmf(d: JointDistribution) -> JointDistribution:
@@ -162,23 +172,41 @@ def joint(variables: Sequence[tuple[Var | str, int]], mass) -> JointDistribution
 
 def marginalize(d: JointDistribution, keep: Iterable[Var]) -> JointDistribution:
     """Marginal of ``d`` over exactly the variables in ``keep``."""
-    keep = [_as_var(v) for v in keep]
-    keep_axes = set(d.axes_of(keep))
+    axes = d.axes_of(keep)
+    keep_axes = set(axes)
     drop = tuple(i for i in range(len(d.variables)) if i not in keep_axes)
     arr = d.mass.sum(axis=drop) if drop else d.mass
-    remaining = [d.variables[i] for i in range(len(d.variables)) if i not in drop]
-    # reorder to the requested order
-    pos = {v: i for i, (v, _) in enumerate(remaining)}
-    perm = [pos[v] for v in keep]
+    # the kept axes remain in joint order; reorder them to the requested order
+    rank = {a: i for i, a in enumerate(sorted(keep_axes))}
+    perm = [rank[a] for a in axes]
     arr = np.transpose(arr, perm) if perm else arr
-    variables = tuple(remaining[i] for i in perm)
-    return JointDistribution(variables, np.ascontiguousarray(arr))
+    variables = tuple(d.variables[a] for a in axes)
+    return JointDistribution._computed(variables, np.ascontiguousarray(arr))
 
 
 def _plain_entropy(arr: np.ndarray) -> float:
     p = arr.reshape(-1)
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def _joint_entropy(d: JointDistribution, a: frozenset[Var]) -> float:
+    """H(a) in bits, computed once per distinct axis set of ``d``.
+
+    A miss always reduces the full joint with ``marginalize`` and flattens
+    the marginal in ``Var.sort_key`` order, so the memo returns exactly the
+    floats of an uncached evaluation.
+    """
+    axis = d._axis
+    try:
+        key = frozenset([axis[v] for v in a])
+    except KeyError as exc:
+        raise UnknownVariable(str(exc.args[0])) from None
+    h = d._entropies.get(key)
+    if h is None:
+        h = _plain_entropy(marginalize(d, sorted(a, key=Var.sort_key)).mass)
+        d._entropies[key] = h
+    return h
 
 
 def entropy(d: JointDistribution, a: Iterable[Var], given: Iterable[Var] = ()) -> float:
@@ -189,11 +217,10 @@ def entropy(d: JointDistribution, a: Iterable[Var], given: Iterable[Var] = ()) -
         raise OverlappingSets("entropy arguments overlap")
     if not a:
         return 0.0
-    h_joint = _plain_entropy(marginalize(d, sorted(a | given, key=Var.sort_key)).mass)
+    h_joint = _joint_entropy(d, a | given)
     if not given:
         return h_joint
-    h_given = _plain_entropy(marginalize(d, sorted(given, key=Var.sort_key)).mass)
-    return h_joint - h_given
+    return h_joint - _joint_entropy(d, given)
 
 
 def mutual_information(d: JointDistribution, atom: InfoAtom) -> float:
@@ -203,11 +230,11 @@ def mutual_information(d: JointDistribution, atom: InfoAtom) -> float:
     return h1 - h2
 
 
-def mi(d: JointDistribution, left, right, cond=()) -> float:
-    """Convenience wrapper building the atom from raw label iterables.
+def reduced_atom(left, right, cond=()) -> InfoAtom | None:
+    """The atom ``mi`` evaluates for raw label iterables; None when empty.
 
-    Empty left or right gives 0; labels present in ``cond`` are dropped from
-    ``left``/``right`` (they carry no information beyond the conditioning).
+    Labels present in ``cond`` are dropped from ``left``/``right`` (they
+    carry no information beyond the conditioning), then ``left`` from ``right``.
     """
     left = _var_set(left)
     right = _var_set(right)
@@ -216,8 +243,14 @@ def mi(d: JointDistribution, left, right, cond=()) -> float:
     right -= cond
     right -= left
     if not left or not right:
-        return 0.0
-    return mutual_information(d, InfoAtom(left, right, cond))
+        return None
+    return InfoAtom(left, right, cond)
+
+
+def mi(d: JointDistribution, left, right, cond=()) -> float:
+    """I(left; right | cond) in bits for raw label iterables (see ``reduced_atom``)."""
+    atom = reduced_atom(left, right, cond)
+    return 0.0 if atom is None else mutual_information(d, atom)
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NotAffineInB, UnassignedAtom
+from .errors import EliminationTooLarge, LPFailed, NotAffineInB, UnassignedAtom
 from .probability import InfoAtom
 
 MAX_INEQUALITIES = 10 ** 5
@@ -196,8 +196,10 @@ def eliminate_variable(region: SymbolicRegion, v: str) -> SymbolicRegion:
                 SymbolicInequality(rates, atoms, "<", up.strict or lo.strict)
             )
             if len(out) > MAX_INEQUALITIES:
-                raise MemoryError(
-                    f"Fourier-Motzkin blow-up past {MAX_INEQUALITIES} inequalities"
+                raise EliminationTooLarge(
+                    f"eliminating {v!r} from {len(region.inequalities)} rows "
+                    f"({len(uppers)} upper x {len(lowers)} lower bounds) passed "
+                    f"{MAX_INEQUALITIES} inequalities"
                 )
     variables = tuple(x for x in region.variables if x != v)
     return SymbolicRegion(variables, tuple(out), region.atom_table)
@@ -290,7 +292,7 @@ def evaluate_region(region: SymbolicRegion, atom_values: Mapping[str, float]) ->
     if res.status == 3:
         return float("inf")
     if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+        raise LPFailed(f"LP solver failed (status {res.status}): {res.message}")
     return float(-res.fun)
 
 

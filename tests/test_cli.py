@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.optimize
+
+from nncpdf import cli, symbolic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NET2 = str(FIXTURES / "n2_noiseless_bit.network.json")
@@ -114,3 +117,20 @@ def test_complement_switch_changes_bound():
     val_a = a.stdout.strip().splitlines()[-2].rsplit(",", 1)[1]
     val_r = r.stdout.strip().splitlines()[-2].rsplit(",", 1)[1]
     assert val_a != val_r
+
+
+def test_derive_elimination_cap_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(symbolic, "MAX_INEQUALITIES", 3)
+    assert cli.main(["derive", "--N", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eliminating ")
+    assert "passed 3 inequalities" in err
+
+
+def test_derive_lp_failure_exits_1(monkeypatch, capsys):
+    class Failed:
+        status, success, message = 4, False, "numerical difficulties"
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Failed())
+    assert cli.main(["derive", "--network", NET3, "--scheme", SCH3]) == 1
+    assert capsys.readouterr().err.startswith("error: LP solver failed")

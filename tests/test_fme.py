@@ -4,8 +4,16 @@ normalization, elimination, pruning, LP evaluation, and serialization."""
 from fractions import Fraction
 
 import pytest
+import scipy.optimize
 
-from nncpdf.errors import NotAffineInB, UnassignedAtom
+from nncpdf import symbolic
+from nncpdf.errors import (
+    EliminationTooLarge,
+    LPFailed,
+    NncpdfError,
+    NotAffineInB,
+    UnassignedAtom,
+)
 from nncpdf.symbolic import (
     AffB,
     SymbolicInequality,
@@ -109,3 +117,23 @@ def test_undeclared_rate_variable_rejected():
     ineq = parse_inequality("R < I(A;B)")
     with pytest.raises(ValueError):
         SymbolicRegion(("x",), (ineq,), {})
+
+
+def test_elimination_cap_is_typed(monkeypatch):
+    region = parse_region("r + R < I(A;B)\nr + 2*R < I(C;D)\nr > 0\nr > R - I(A;B)")
+    monkeypatch.setattr(symbolic, "MAX_INEQUALITIES", 2)
+    with pytest.raises(EliminationTooLarge, match=r"eliminating 'r' from 4 rows") as info:
+        eliminate_variable(region, "r")
+    assert isinstance(info.value, NncpdfError)
+
+
+class _FailedLP:
+    status, success, message = 4, False, "numerical difficulties"
+
+
+def test_lp_failure_is_typed(monkeypatch):
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: _FailedLP())
+    region = parse_region("R < I(A;B)")
+    with pytest.raises(LPFailed, match="numerical difficulties") as info:
+        evaluate_region(region, {"I(A;B)": 0.5})
+    assert isinstance(info.value, NncpdfError)
