@@ -29,6 +29,7 @@ from .probability import (
 )
 
 EPS_FEAS = 1e-9
+MAX_FEASIBLE_TRIES = 400
 
 
 @dataclass(frozen=True)
@@ -324,15 +325,6 @@ def ddf_bound(net: Network, scheme: SchemeDistribution, perm=None) -> float:
     return float(best)
 
 
-def _i(j, left, right, cond=()):
-    """Conditional mutual information as an explicit entropy difference."""
-    left = [v for v in left if v not in set(cond)]
-    right = [v for v in right if v not in set(cond) and v not in set(left)]
-    if not left or not right:
-        return 0.0
-    return entropy(j, left, cond) - entropy(j, left, list(right) + list(cond))
-
-
 def theorem7_bound(net: Network, scheme: SchemeDistribution) -> float:
     """Three-node partial-decode-compress-and-forward bound, coded as a
     literal enumeration of the admissible (S, T) pairs."""
@@ -351,35 +343,35 @@ def theorem7_bound(net: Network, scheme: SchemeDistribution) -> float:
             tot = 0.0
             for idx, k in enumerate(sc):
                 earlier = sc[:idx]
-                tot += _i(
+                tot += mi(
                     j,
                     [U(k)],
                     xs + vs + [U(i) for i in earlier],
                     [V(k), X(k), Y(k)],
                 )
-                tot += _i(j, [V(k)], [V(i) for i in earlier])
+                tot += mi(j, [V(k)], [V(i) for i in earlier])
             return tot
 
         t4_full = t4_pair(sorted([r, d]))
         t4_d = t4_pair([d])
-        t3_r = _i(j, [Yhat(r)], [Y(r)], [Yhat(d)] + xs + vs + us + [yd])
+        t3_r = mi(j, [Yhat(r)], [Y(r)], [Yhat(d)] + xs + vs + us + [yd])
 
         # (S, T) = (empty, empty)
         v_ee = (
-            _i(j, [X(1)], [U(r), U(d), X(r), X(d), Yhat(r), Yhat(d), yd], vs)
+            mi(j, [X(1)], [U(r), U(d), X(r), X(d), Yhat(r), Yhat(d), yd], vs)
             - t4_full
         )
         # (S, T) = (empty, {relay})
         v_er = (
-            _i(j, [X(1)], [U(r), U(d), X(d), Yhat(d), yd], vs)
-            + _i(j, [X(r)], [Yhat(d), yd], [X(1), X(d)] + vs + us)
+            mi(j, [X(1)], [U(r), U(d), X(d), Yhat(d), yd], vs)
+            + mi(j, [X(r)], [Yhat(d), yd], [X(1), X(d)] + vs + us)
             - t3_r
             - t4_full
         )
         # (S, T) = ({relay}, {relay})
         v_rr = (
-            _i(j, [X(1), V(r)], [U(d), X(d), Yhat(d), yd], [V(d)])
-            + _i(j, [X(r), U(r)], [Yhat(d), yd], [X(1), X(d)] + vs + [U(d)])
+            mi(j, [X(1), V(r)], [U(d), X(d), Yhat(d), yd], [V(d)])
+            + mi(j, [X(r), U(r)], [Yhat(d), yd], [X(1), X(d)] + vs + [U(d)])
             - t3_r
             - t4_d
         )
@@ -455,7 +447,6 @@ def random_feasible_scheme(
     v_sizes=None,
     u_sizes=None,
     yhat_sizes=None,
-    max_tries: int = 400,
 ) -> SchemeDistribution:
     """Random scheme satisfying the strict auxiliary-decoding condition.
 
@@ -463,7 +454,7 @@ def random_feasible_scheme(
     independent per-node v pmfs and each u_k a weakly noisy function of x1.
     The cross-node coupling I(U_j;U_k) then shrinks much faster than the
     required margins I(U_k;Y_k|X_k,V_k), and rejection sampling succeeds
-    quickly; raises NoFeasibleStart if it does not.
+    quickly; raises NoFeasibleStart if ``MAX_FEASIBLE_TRIES`` draws fail.
     """
     from .errors import NoFeasibleStart
     from .network import random_scheme
@@ -481,10 +472,10 @@ def random_feasible_scheme(
         yhat_sizes = (2,) * (n - 1)
     if any(s < 2 for s in u_sizes):
         raise NoFeasibleStart("all u alphabets must be non-degenerate")
-    for attempt in range(max_tries):
+    for attempt in range(MAX_FEASIBLE_TRIES):
         base = random_scheme(rng, net, v_sizes, u_sizes, yhat_sizes)
         # weaken the u coupling as attempts accumulate
-        frac = attempt / max(max_tries - 1, 1)
+        frac = attempt / max(MAX_FEASIBLE_TRIES - 1, 1)
         eps_lo, eps_hi = 0.30 + 0.1 * frac, 0.47 + 0.02 * frac
         px1 = rng.dirichlet(np.ones(nx1))
         head = px1.reshape((nx1,) + (1,) * (2 * (n - 1)))
@@ -508,4 +499,4 @@ def random_feasible_scheme(
         )
         if is_feasible(feasibility_check(net, cand)):
             return cand
-    raise NoFeasibleStart(f"no feasible scheme found in {max_tries} draws")
+    raise NoFeasibleStart(f"no feasible scheme found in {MAX_FEASIBLE_TRIES} draws")

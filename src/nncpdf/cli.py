@@ -9,7 +9,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .derivation import (
 from .errors import NncpdfError
 from .network import (
     Network,
+    assemble_joint,
     load_network_file,
     load_scheme_file,
     make_ddf_scheme,
@@ -49,33 +49,13 @@ from .probability import mutual_information
 from .symbolic import evaluate_region
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus shared options."""
-
-    command: str
-    network: str | None = None
-    scheme: str | None = None
-    dest: int | None = None
-    complement: str = "all"
-    perm: tuple[int, ...] | None = None
-    fmt: str = "table"
-    out: str | None = None
-    seed: int = 0
-    grid_res: int = 3
-    aux_sizes: tuple[int, int, int] | None = None
-    method: str = "grid"
-    preset: str = "nncpdf"
-    n: int = 3
-
-
 def _fmt_set(s) -> str:
     return ";".join(str(k) for k in sorted(s)) if s else "-"
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -93,27 +73,32 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _load_pair(cfg: RunConfig):
-    if not cfg.network or not cfg.scheme:
+def _load_pair(args: argparse.Namespace):
+    if not args.network or not args.scheme:
         raise NncpdfError("this subcommand needs --network and --scheme")
-    net = load_network_file(cfg.network)
-    scheme = load_scheme_file(cfg.scheme, net.N)
+    net = load_network_file(args.network)
+    scheme = load_scheme_file(args.scheme, net.N)
     return net, scheme
 
 
-def _cmd_eval(cfg: RunConfig) -> str:
-    net, scheme = _load_pair(cfg)
-    report = nncpdf_bound(net, scheme, complement=cfg.complement, perm=cfg.perm)
+def _cmd_eval(args: argparse.Namespace) -> str:
+    net, scheme = _load_pair(args)
+    if args.dest is not None and args.dest not in net.destinations:
+        raise NncpdfError(
+            f"--dest {args.dest} is not a destination; the network's "
+            f"destinations are {sorted(net.destinations)}"
+        )
+    report = nncpdf_bound(net, scheme, complement=args.complement, perm=args.perm)
     cuts = [
         c
         for c in report.cuts
-        if cfg.dest is None or c.cut.d == cfg.dest
+        if args.dest is None or c.cut.d == args.dest
     ]
     cuts.sort(key=lambda c: (c.cut.d, sorted(c.cut.S), sorted(c.cut.T)))
     bound = (
-        report.per_destination[cfg.dest] if cfg.dest is not None else report.bound
+        report.per_destination[args.dest] if args.dest is not None else report.bound
     )
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [["record", "destination", "S", "T",
                  "term1", "term2", "term3", "term4", "value"]]
         for c in cuts:
@@ -140,11 +125,11 @@ def _cmd_eval(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_feasibility(cfg: RunConfig) -> str:
-    net, scheme = _load_pair(cfg)
-    entries = feasibility_check(net, scheme, perm=cfg.perm)
+def _cmd_feasibility(args: argparse.Namespace) -> str:
+    net, scheme = _load_pair(args)
+    entries = feasibility_check(net, scheme, perm=args.perm)
     entries.sort(key=lambda e: (len(e.nodes), e.nodes))
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = [["nodes", "lhs", "rhs", "margin"]]
         for e in entries:
             rows.append([_fmt_set(e.nodes), _num(e.lhs), _num(e.rhs),
@@ -161,69 +146,63 @@ def _cmd_feasibility(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_compare(cfg: RunConfig) -> str:
-    net, scheme = _load_pair(cfg)
+def _cmd_compare(args: argparse.Namespace) -> str:
+    net, scheme = _load_pair(args)
     rows = []
-    rep = nncpdf_bound(net, scheme, complement=cfg.complement, perm=cfg.perm)
+    rep = nncpdf_bound(net, scheme, complement=args.complement, perm=args.perm)
     rows.append(("nncpdf", rep.bound if rep.feasible else float("-inf")))
-    rows.append(("nnc", nnc_bound(net, make_nnc_scheme(scheme), perm=cfg.perm)))
-    rows.append(("ddf", ddf_bound(net, make_ddf_scheme(scheme), perm=cfg.perm)))
+    rows.append(("nnc", nnc_bound(net, make_nnc_scheme(scheme), perm=args.perm)))
+    rows.append(("ddf", ddf_bound(net, make_ddf_scheme(scheme), perm=args.perm)))
     if net.N == 3:
         rows.append(("theorem7", theorem7_bound(net, scheme)))
     rows.append(
         (
             "cutset",
             cutset_max_grid(
-                net, cfg.grid_res,
+                net, args.grid_res,
                 extra_points=[induced_input_dist(net, scheme).reshape(-1)],
             ),
         )
     )
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         return _csv([["method", "rate"]] + [[m, _num(v)] for m, v in rows])
     return "\n".join(f"{m:>10}: {_num(v)}" for m, v in rows) + "\n"
 
 
-def _cmd_optimize(cfg: RunConfig) -> str:
-    if not cfg.network:
+def _cmd_optimize(args: argparse.Namespace) -> str:
+    if not args.network:
         raise NncpdfError("optimize needs --network")
-    net = load_network_file(cfg.network)
+    net = load_network_file(args.network)
     n_rel = net.N - 1
-    if cfg.aux_sizes:
-        v, u, yh = cfg.aux_sizes
+    if args.aux_sizes:
+        v, u, yh = args.aux_sizes
         sizes = dict(
             v_sizes=(v,) * n_rel, u_sizes=(u,) * n_rel, yhat_sizes=(yh,) * n_rel
         )
     else:
         sizes = {}
     scfg = SearchConfig(
-        method=cfg.method, resolution=cfg.grid_res, seed=cfg.seed, **sizes
+        method=args.method, resolution=args.grid_res, seed=args.seed, **sizes
     )
-    init = load_scheme_file(cfg.scheme, net.N) if cfg.scheme else None
+    init = load_scheme_file(args.scheme, net.N) if args.scheme else None
     scheme, rate, trace = optimize(net, scfg, init)
     doc = scheme_to_document(scheme)
     doc = json.loads(json.dumps(doc), parse_float=lambda s: float(f"{float(s):.12g}"))
-    payload = json.dumps({"rate": float(f"{rate:.12g}"), "scheme": doc}, indent=2)
-    sys.stdout.write(f"rate: {_num(rate)}\ntrace: {[_num(r) for r in trace]}\n")
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        sys.stdout.write(payload + "\n")
-    return ""
+    sys.stderr.write(f"rate: {_num(rate)}\ntrace: {[_num(r) for r in trace]}\n")
+    return json.dumps({"rate": float(f"{rate:.12g}"), "scheme": doc}, indent=2) + "\n"
 
 
-def _cmd_derive(cfg: RunConfig) -> str:
+def _cmd_derive(args: argparse.Namespace) -> str:
     lines = []
-    if cfg.preset == "p2p":
+    if args.preset == "p2p":
         region = derive_p2p_region()
         lines.append("projected region:")
         lines.append(str(region))
     else:
-        if cfg.network:
-            net = load_network_file(cfg.network)
+        if args.network:
+            net = load_network_file(args.network)
         else:
-            n = cfg.n
+            n = args.n
             uniform = np.ones((2,) * n + (2,) * n) / (2 ** n)
             net = Network(n, (2,) * n, (2,) * n, uniform,
                           frozenset(range(2, n + 1)))
@@ -235,8 +214,8 @@ def _cmd_derive(cfg: RunConfig) -> str:
         lines.append("projected region:")
         for ineq in region.inequalities:
             lines.append(f"  {ineq}")
-        if cfg.network and cfg.scheme:
-            scheme = load_scheme_file(cfg.scheme, net.N)
+        if args.network and args.scheme:
+            scheme = load_scheme_file(args.scheme, net.N)
             value = evaluate_region(region, atom_values(net, scheme,
                                                         region.atom_table))
             rep = nncpdf_bound(net, scheme)
@@ -246,14 +225,12 @@ def _cmd_derive(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simplify_check(cfg: RunConfig) -> str:
-    net, scheme = _load_pair(cfg)
+def _cmd_simplify_check(args: argparse.Namespace) -> str:
+    net, scheme = _load_pair(args)
     b = 2
     omega = build_nncpdf_omega(net, b)
     layout = BlockLayout(message_rate_blocks=b)
     unfolded = build_unfolded_joint(net, scheme, b)
-    from .network import assemble_joint
-
     single = assemble_joint(net, scheme)
     rows = []
     for k in net.relays():
@@ -268,7 +245,7 @@ def _cmd_simplify_check(cfg: RunConfig) -> str:
                     )
                     rows.append((name, direct, recon, abs(direct - recon)))
     rows.sort(key=lambda r: r[0])
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         out = [["atom", "direct", "reconstructed", "delta"]]
         out += [[n, _num(d), _num(r), _num(e)] for n, d, r, e in rows]
         return _csv(out)
@@ -279,13 +256,57 @@ def _cmd_simplify_check(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _perm(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(k) for k in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated relay order such as 3,2, got {text!r}"
+        ) from None
+
+
+def _aux_sizes(text: str) -> tuple[int, int, int]:
+    try:
+        sizes = tuple(int(k) for k in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 3:
+        raise argparse.ArgumentTypeError(
+            f"expected three integers v,u,yhat, got {text!r}"
+        )
+    return sizes
+
+
+_FLAGS = {
+    "--network": {},
+    "--scheme": {},
+    "--dest": dict(type=int),
+    "--complement": dict(choices=("relays", "all"), default="all"),
+    "--perm": dict(type=_perm),
+    "--grid-res": dict(type=int, default=3),
+    "--method": dict(choices=("grid", "coordinate-ascent"), default="grid"),
+    "--aux-sizes": dict(type=_aux_sizes),
+    "--seed": dict(type=int, default=0),
+    "--preset": dict(choices=("nncpdf", "p2p"), default="nncpdf"),
+    "--N": dict(dest="n", type=int, default=3),
+    "--format": dict(dest="fmt", choices=("table", "csv"), default="table"),
+    "--out": {},
+}
+
+# each subcommand: its handler and exactly the flags it reads
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "feasibility": _cmd_feasibility,
-    "compare": _cmd_compare,
-    "optimize": _cmd_optimize,
-    "derive": _cmd_derive,
-    "simplify-check": _cmd_simplify_check,
+    "eval": (_cmd_eval, "--network --scheme --dest --complement --perm --format --out"),
+    "feasibility": (_cmd_feasibility, "--network --scheme --perm --format --out"),
+    "compare": (
+        _cmd_compare,
+        "--network --scheme --complement --perm --grid-res --format --out",
+    ),
+    "optimize": (
+        _cmd_optimize,
+        "--network --scheme --method --aux-sizes --grid-res --seed --out",
+    ),
+    "derive": (_cmd_derive, "--preset --N --network --scheme --out"),
+    "simplify-check": (_cmd_simplify_check, "--network --scheme --format --out"),
 }
 
 
@@ -295,76 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Achievable-rate bounds for finite-alphabet relay networks",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--network")
-        sp.add_argument("--scheme")
-        sp.add_argument("--dest", type=int)
-        sp.add_argument("--complement", choices=("relays", "all"), default="all")
-        sp.add_argument("--perm")
-        sp.add_argument("--format", dest="fmt", choices=("table", "csv"),
-                        default="table")
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--grid-res", type=int, default=3)
-        sp.add_argument("--aux-sizes")
-        if name == "optimize":
-            sp.add_argument("--method", choices=("grid", "coordinate-ascent"),
-                            default="grid")
-        if name == "derive":
-            sp.add_argument("--preset", choices=("nncpdf", "p2p"),
-                            default="nncpdf")
-            sp.add_argument("--N", dest="n", type=int, default=3)
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
-def config_from_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    perm = None
-    if ns.perm:
-        perm = tuple(int(x) for x in ns.perm.split(","))
-    aux = None
-    if ns.aux_sizes:
-        parts = [int(x) for x in ns.aux_sizes.split(",")]
-        if len(parts) != 3:
-            raise NncpdfError("--aux-sizes takes three integers: v,u,yhat")
-        aux = tuple(parts)
-    return RunConfig(
-        command=ns.command,
-        network=ns.network,
-        scheme=ns.scheme,
-        dest=ns.dest,
-        complement=ns.complement,
-        perm=perm,
-        fmt=ns.fmt,
-        out=ns.out,
-        seed=ns.seed,
-        grid_res=ns.grid_res,
-        aux_sizes=aux,
-        method=getattr(ns, "method", "grid"),
-        preset=getattr(ns, "preset", "nncpdf"),
-        n=getattr(ns, "n", 3),
-    )
-
-
-def run(cfg: RunConfig) -> int:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        text = _COMMANDS[cfg.command](cfg)
+        text = _COMMANDS[args.command][0](args)
     except (NncpdfError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if text:
-        _emit(cfg, text)
+    _emit(args, text)
     return 0
-
-
-def main(argv=None) -> int:
-    try:
-        cfg = config_from_args(sys.argv[1:] if argv is None else argv)
-    except NncpdfError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,9 @@ from .probability import (
 from .symbolic import AffB, SymbolicInequality, SymbolicRegion, project_to_R
 
 MAX_SUBSETS = 1 << 16
+# block counts the affine-in-B families are fitted at, and checked at
+FIT_BS = (3, 4)
+CHECK_B = 5
 
 
 @dataclass(frozen=True)
@@ -217,14 +220,12 @@ def reduce_constraints(
     return constraint_for_compression(omega, node, tbar, t_prime)
 
 
-def generate_constraints(
-    omega: OmegaParameters, node: Node, max_subsets: int = MAX_SUBSETS
-) -> list[Constraint]:
+def generate_constraints(omega: OmegaParameters, node: Node) -> list[Constraint]:
     """Every non-redundant decoding and covering constraint at ``node``.
 
     Decoding subsets that touch indices the node already knows (codewords
     contained in its observation) are implied by smaller subsets and are
-    skipped.
+    skipped.  Raises SearchSpaceTooLarge past ``MAX_SUBSETS`` subsets.
     """
     out: list[Constraint] = []
     known = omega.gamma_of(omega.known_codes(node))
@@ -232,9 +233,9 @@ def generate_constraints(
     db = dset | omega.nonunique[node]
     dbar = omega.gamma_of(dset)
     pool = sorted(omega.gamma_of(db) - known, key=str)
-    if 2 ** len(pool) > max_subsets:
+    if 2 ** len(pool) > MAX_SUBSETS:
         raise SearchSpaceTooLarge(
-            f"{2 ** len(pool)} decoding subsets at {node} exceeds cap {max_subsets}"
+            f"{2 ** len(pool)} decoding subsets at {node} exceeds cap {MAX_SUBSETS}"
         )
     for r in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, r):
@@ -247,9 +248,9 @@ def generate_constraints(
     wbar = sorted(
         omega.gamma_of(omega.covering[node]) - omega.gamma_of(dset), key=str
     )
-    if 2 ** len(wbar) > max_subsets:
+    if 2 ** len(wbar) > MAX_SUBSETS:
         raise SearchSpaceTooLarge(
-            f"{2 ** len(wbar)} covering subsets at {node} exceeds cap {max_subsets}"
+            f"{2 ** len(wbar)} covering subsets at {node} exceeds cap {MAX_SUBSETS}"
         )
     for r in range(1, len(wbar) + 1):
         for combo in itertools.combinations(wbar, r):
@@ -439,36 +440,27 @@ def _fit_affine(families: Sequence[dict[FamilyKey, Constraint]], bs: Sequence[in
     return fitted
 
 
-def derive_symbolic_families(
-    net: Network, fit_bs: tuple[int, int] = (3, 4), check_b: int | None = 5
-) -> dict[FamilyKey, Constraint]:
-    """B-affine constraint families, fitted from two concrete block counts
-    and cross-checked at a third."""
-    b1, b2 = fit_bs
-    fitted = _fit_affine(
-        [derive_constraint_families(net, b1), derive_constraint_families(net, b2)],
-        (b1, b2),
-    )
-    if check_b is not None:
-        concrete = derive_constraint_families(net, check_b)
-        for key, c in fitted.items():
-            ia = c.inequality
-            ic = concrete[key].inequality
-            got = {k: v.at(check_b) for k, v in ia.rates.items()}
-            want = {k: v.const() for k, v in ic.rates.items()}
-            got_a = {k: v.at(check_b) for k, v in ia.atoms.items()}
-            want_a = {k: v.const() for k, v in ic.atoms.items()}
-            if got != want or got_a != want_a:
-                raise NotAffineInB(f"family {key} is not affine in the block count")
+def derive_symbolic_families(net: Network) -> dict[FamilyKey, Constraint]:
+    """B-affine constraint families, fitted from the block counts
+    ``FIT_BS`` and cross-checked at ``CHECK_B``."""
+    fitted = _fit_affine([derive_constraint_families(net, b) for b in FIT_BS], FIT_BS)
+    concrete = derive_constraint_families(net, CHECK_B)
+    for key, c in fitted.items():
+        ia = c.inequality
+        ic = concrete[key].inequality
+        got = {k: v.at(CHECK_B) for k, v in ia.rates.items()}
+        want = {k: v.const() for k, v in ic.rates.items()}
+        got_a = {k: v.at(CHECK_B) for k, v in ia.atoms.items()}
+        want_a = {k: v.const() for k, v in ic.atoms.items()}
+        if got != want or got_a != want_a:
+            raise NotAffineInB(f"family {key} is not affine in the block count")
     return fitted
 
 
-def derive_region(
-    net: Network, fit_bs: tuple[int, int] = (3, 4), check_b: int | None = 5
-) -> SymbolicRegion:
+def derive_region(net: Network) -> SymbolicRegion:
     """The single-letter region: fitted B-affine families, large-B limit,
     then Fourier-Motzkin projection onto the message rate R."""
-    fitted = derive_symbolic_families(net, fit_bs, check_b)
+    fitted = derive_symbolic_families(net)
     limited = asymptotic_system([c.inequality for c in fitted.values()])
     table: dict[str, InfoAtom] = {}
     for c in fitted.values():

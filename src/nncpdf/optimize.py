@@ -5,18 +5,12 @@ coordinate ascent, both deterministic under a fixed config."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    EPS_FEAS,
-    _simplex_points,
-    feasibility_check,
-    is_feasible,
-    nncpdf_bound,
-)
+from .bounds import _simplex_points, feasibility_check, is_feasible, nncpdf_bound
 from .errors import NoFeasibleStart, SearchSpaceTooLarge
 from .network import Network, SchemeDistribution, random_scheme
 
@@ -36,8 +30,6 @@ class SearchConfig:
     restarts: int = 1
     max_iters: int = 100
     seed: int = 0
-    eps_feas: float = EPS_FEAS
-    max_points: int = MAX_GRID_POINTS
 
     def __post_init__(self):
         if self.method not in ("grid", "coordinate-ascent"):
@@ -102,8 +94,8 @@ def _set_row(scheme: SchemeDistribution, row: _Row, value: np.ndarray) -> Scheme
     return replace(scheme, compressors=tuple(comps))
 
 
-def _objective(net: Network, scheme: SchemeDistribution, eps_feas: float) -> float:
-    report = nncpdf_bound(net, scheme, eps_feas=eps_feas)
+def _objective(net: Network, scheme: SchemeDistribution) -> float:
+    report = nncpdf_bound(net, scheme)
     return report.bound if report.feasible else float("-inf")
 
 
@@ -126,9 +118,9 @@ def grid_search(net: Network, cfg: SearchConfig):
     total = 1
     for r in rows:
         total *= _grid_count(r.dim, cfg.resolution)
-        if total > cfg.max_points:
+        if total > MAX_GRID_POINTS:
             raise SearchSpaceTooLarge(
-                f"grid would exceed {cfg.max_points} points; reduce aux sizes "
+                f"grid would exceed {MAX_GRID_POINTS} points; reduce aux sizes "
                 f"or resolution"
             )
     best_scheme, best_rate, trace = None, float("-inf"), []
@@ -138,7 +130,7 @@ def grid_search(net: Network, cfg: SearchConfig):
         cand = template
         for r, value in zip(rows, combo):
             cand = _set_row(cand, r, value)
-        rate = _objective(net, cand, cfg.eps_feas)
+        rate = _objective(net, cand)
         if rate > best_rate:
             best_scheme, best_rate = cand, rate
             trace.append(rate)
@@ -159,7 +151,7 @@ def coordinate_ascent(net: Network, cfg: SearchConfig, init: SchemeDistribution)
     Returns (scheme, rate, monotone trace).
     """
     cur = init
-    rate = _objective(net, cur, cfg.eps_feas)
+    rate = _objective(net, cur)
     if rate == float("-inf"):
         raise NoFeasibleStart("initial scheme violates the feasibility condition")
     rows = _rows_of(net, cur)
@@ -178,7 +170,7 @@ def coordinate_ascent(net: Network, cfg: SearchConfig, init: SchemeDistribution)
                 for t in _LINE_STEPS:
                     val = (1.0 - t) * base + t * e
                     val = val / val.sum()
-                    cand_rate = _objective(net, _set_row(cur, row, val), cfg.eps_feas)
+                    cand_rate = _objective(net, _set_row(cur, row, val))
                     if cand_rate > best_rate + 1e-15:
                         best_val, best_rate = val, cand_rate
             updates += 1
@@ -258,7 +250,7 @@ def optimize(net: Network, cfg: SearchConfig, init: SchemeDistribution | None = 
     for _ in range(cfg.restarts if init is None else cfg.restarts - 1):
         if all(s == 1 for s in u):
             cand = random_scheme(rng, net, v, u, yh)
-            if not is_feasible(feasibility_check(net, cand), cfg.eps_feas):
+            if not is_feasible(feasibility_check(net, cand)):
                 continue
         else:
             try:

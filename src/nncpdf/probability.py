@@ -89,12 +89,13 @@ class InfoAtom:
         return base + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Dense pmf over an ordered list of labeled finite variables.
 
     ``mass`` has shape equal to the tuple of alphabet sizes, row-major over
-    the variable list.
+    the variable list.  Equality and hashing are by identity: each joint
+    owns its entropy memo.
     """
 
     variables: tuple[tuple[Var, int], ...]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -242,15 +242,13 @@ def _prune(region: SymbolicRegion) -> SymbolicRegion:
     return SymbolicRegion(region.variables, tuple(out), region.atom_table)
 
 
-def project_to_R(region: SymbolicRegion, order: Iterable[str] | None = None) -> SymbolicRegion:
-    """Eliminate every rate variable except R, pruning between steps."""
-    others = [v for v in region.variables if v != "R"]
-    order = list(order) if order is not None else others
-    if sorted(order) != sorted(others):
-        raise ValueError("order must be a permutation of the non-R variables")
+def project_to_R(region: SymbolicRegion) -> SymbolicRegion:
+    """Eliminate every rate variable except R, in variable order, pruning
+    between steps."""
     cur = _prune(region)
-    for v in order:
-        cur = _prune(eliminate_variable(cur, v))
+    for v in region.variables:
+        if v != "R":
+            cur = _prune(eliminate_variable(cur, v))
     return cur
 
 

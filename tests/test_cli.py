@@ -134,3 +134,47 @@ def test_derive_lp_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Failed())
     assert cli.main(["derive", "--network", NET3, "--scheme", SCH3]) == 1
     assert capsys.readouterr().err.startswith("error: LP solver failed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--format", "csv"],
+    ["compare", "--network", NET3, "--scheme", SCH3, "--dest", "2"],
+    ["optimize", "--network", NET2, "--format", "csv"],
+])
+def test_flag_of_another_subcommand_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--network", NET3, "--scheme", SCH3, "--perm", "x,y"], "--perm"),
+    (["optimize", "--network", NET2, "--aux-sizes", "1,x,1"], "--aux-sizes"),
+    (["optimize", "--network", NET2, "--aux-sizes", "1,1"], "--aux-sizes"),
+])
+def test_malformed_list_flag_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_eval_dest_outside_destinations_exits_1(capsys):
+    assert cli.main(["eval", "--network", NET3, "--scheme", SCH3, "--dest", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dest 2 ")
+    assert "[3]" in err
+
+
+def test_optimize_stdout_and_out_carry_the_same_document(tmp_path, capsys):
+    argv = ["optimize", "--network", NET2, "--aux-sizes", "1,1,1", "--grid-res", "5"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["rate"] == pytest.approx(1.0, abs=1e-12)
+    assert captured.err.startswith("rate: ")
+    out = tmp_path / "best.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == captured.out

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nncpdf import derivation
 from nncpdf.bounds import nncpdf_bound, random_feasible_scheme
 from nncpdf.derivation import (
     BlockLayout,
@@ -105,10 +106,11 @@ def test_compression_enlargement_must_contain_induced_set():
         )
 
 
-def test_generation_guards_subset_blowup():
+def test_generation_guards_subset_blowup(monkeypatch):
     om = build_nncpdf_omega(net3(), 3)
+    monkeypatch.setattr(derivation, "MAX_SUBSETS", 16)
     with pytest.raises(SearchSpaceTooLarge):
-        generate_constraints(om, (3, 4), max_subsets=16)
+        generate_constraints(om, (3, 4))
 
 
 def test_simplify_splits_blocks():
@@ -152,7 +154,7 @@ def test_asymptotic_system_limits():
 
 def test_constraint_families_are_affine_in_b():
     net = net3(1)
-    families = derive_symbolic_families(net, fit_bs=(3, 4), check_b=5)
+    families = derive_symbolic_families(net)
     dest = families[("dest", 3, (), ())].inequality
     assert dest.rates["r0"].const() == 1
     assert dest.rates["r1"].at(6) == 5  # (B-1) source-refinement indices

@@ -151,3 +151,12 @@ def test_mutual_information_atom_value():
     d = joint([(Var("A"), 2), (Var("B"), 2)], mass)
     atom = InfoAtom(frozenset({Var("A")}), frozenset({Var("B")}))
     assert mutual_information(d, atom) == pytest.approx(1.0, abs=TOL)
+
+
+def test_joint_equality_is_identity():
+    d = joint([("A", 2), ("B", 2)], [0.1, 0.2, 0.3, 0.4])
+    twin = joint([("A", 2), ("B", 2)], [0.1, 0.2, 0.3, 0.4])
+    assert d == d
+    assert d != twin
+    assert hash(d) == hash(d)
+    assert len({d, twin}) == 2
