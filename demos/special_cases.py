@@ -37,7 +37,7 @@ def main():
         assert abs(via_general - via_nnc) < 1e-9
 
         s_ddf = make_ddf_scheme(s)
-        ddf_general = nncpdf_bound(net, s_ddf, eps_feas=-np.inf).bound
+        ddf_general = nncpdf_bound(net, s_ddf).bound
         ddf_special = ddf_bound(net, s_ddf)
         assert abs(ddf_general - ddf_special) < 1e-9
 

@@ -227,8 +227,8 @@ def feasibility_check(
     return entries
 
 
-def is_feasible(entries, eps_feas: float = EPS_FEAS) -> bool:
-    return all(e.margin > eps_feas for e in entries)
+def is_feasible(entries) -> bool:
+    return all(e.margin > EPS_FEAS for e in entries)
 
 
 def nncpdf_bound(
@@ -236,7 +236,6 @@ def nncpdf_bound(
     scheme: SchemeDistribution,
     complement: str = "all",
     perm=None,
-    eps_feas: float = EPS_FEAS,
 ) -> BoundReport:
     """Achievable-rate report: every cut's terms, per-destination minima,
     the overall bound, and the feasibility margins."""
@@ -257,7 +256,7 @@ def nncpdf_bound(
         per_destination=per_dest,
         bound=min(per_dest.values()),
         feasibility=feas,
-        feasible=is_feasible(feas, eps_feas),
+        feasible=is_feasible(feas),
     )
 
 

@@ -172,6 +172,8 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 def _cmd_optimize(args: argparse.Namespace) -> str:
     if not args.network:
         raise NncpdfError("optimize needs --network")
+    if args.scheme and args.method == "grid":
+        raise NncpdfError("--scheme needs --method coordinate-ascent")
     net = load_network_file(args.network)
     n_rel = net.N - 1
     if args.aux_sizes:

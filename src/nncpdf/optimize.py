@@ -10,7 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _simplex_points, feasibility_check, is_feasible, nncpdf_bound
+from .bounds import (
+    _simplex_points,
+    feasibility_check,
+    is_feasible,
+    nncpdf_bound,
+    random_feasible_scheme,
+)
 from .errors import NoFeasibleStart, SearchSpaceTooLarge
 from .network import Network, SchemeDistribution, random_scheme
 
@@ -27,7 +33,6 @@ class SearchConfig:
     yhat_sizes: tuple[int, ...] | None = None
     method: str = "grid"
     resolution: int = 3
-    restarts: int = 1
     max_iters: int = 100
     seed: int = 0
 
@@ -36,8 +41,6 @@ class SearchConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.resolution < 2:
             raise ValueError("grid resolution must be >= 2 points per dimension")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
     def sizes_for(self, net: Network):
         n_rel = net.N - 1
@@ -234,35 +237,20 @@ def embed_scheme(
 
 
 def optimize(net: Network, cfg: SearchConfig, init: SchemeDistribution | None = None):
-    """Front-end dispatch: grid, or coordinate ascent with restarts.
+    """Front-end dispatch: grid, or coordinate ascent.
 
-    Coordinate ascent draws ``restarts`` feasible random starts (plus
-    ``init`` when given) and keeps the best final rate; ties break toward
-    the earlier run for determinism.
+    Coordinate ascent starts from ``init`` when given, otherwise from one
+    feasible random scheme drawn with ``cfg.seed``.
     """
     if cfg.method == "grid":
         return grid_search(net, cfg)
-    from .bounds import random_feasible_scheme
-
-    v, u, yh = cfg.sizes_for(net)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [] if init is None else [init]
-    for _ in range(cfg.restarts if init is None else cfg.restarts - 1):
+    if init is None:
+        v, u, yh = cfg.sizes_for(net)
+        rng = np.random.default_rng(cfg.seed)
         if all(s == 1 for s in u):
-            cand = random_scheme(rng, net, v, u, yh)
-            if not is_feasible(feasibility_check(net, cand)):
-                continue
+            init = random_scheme(rng, net, v, u, yh)
+            if not is_feasible(feasibility_check(net, init)):
+                raise NoFeasibleStart("no feasible starting scheme")
         else:
-            try:
-                cand = random_feasible_scheme(rng, net, v, u, yh)
-            except NoFeasibleStart:
-                continue
-        starts.append(cand)
-    if not starts:
-        raise NoFeasibleStart("no feasible starting scheme")
-    best = None
-    for s in starts:
-        scheme, rate, trace = coordinate_ascent(net, cfg, s)
-        if best is None or rate > best[1]:
-            best = (scheme, rate, trace)
-    return best
+            init = random_feasible_scheme(rng, net, v, u, yh)
+    return coordinate_ascent(net, cfg, init)

@@ -133,7 +133,7 @@ def test_criterion_04_ddf_reduction():
         n = 3 if i % 2 == 0 else 4
         net = random_network(rng, n, destinations={n})
         s = make_ddf_scheme(random_scheme(rng, net))
-        report = nncpdf_bound(net, s, eps_feas=-np.inf)
+        report = nncpdf_bound(net, s)
         assert abs(report.bound - ddf_bound(net, s)) < 1e-9
 
 

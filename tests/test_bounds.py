@@ -70,7 +70,7 @@ def test_theorem7_matches_all_convention():
         net = random_network(rng, 3)
         s = random_scheme(rng, net)
         t7 = theorem7_bound(net, s)
-        both = nncpdf_bound(net, s, complement="all", eps_feas=-np.inf)
+        both = nncpdf_bound(net, s, complement="all")
         assert t7 == pytest.approx(both.bound, abs=1e-9)
 
 
@@ -80,8 +80,8 @@ def test_complement_conventions_differ_in_general():
     for _ in range(5):
         net = random_network(rng, 3)
         s = random_scheme(rng, net)
-        a = nncpdf_bound(net, s, complement="all", eps_feas=-np.inf).bound
-        r = nncpdf_bound(net, s, complement="relays", eps_feas=-np.inf).bound
+        a = nncpdf_bound(net, s, complement="all").bound
+        r = nncpdf_bound(net, s, complement="relays").bound
         diffs.append(abs(a - r))
     assert max(diffs) > 1e-6
 
@@ -107,7 +107,7 @@ def test_ddf_reduction_equality():
     rng = np.random.default_rng(4)
     net = random_network(rng, 3)
     s = make_ddf_scheme(random_scheme(rng, net))
-    report = nncpdf_bound(net, s, eps_feas=-np.inf)
+    report = nncpdf_bound(net, s)
     assert ddf_bound(net, s) == pytest.approx(report.bound, abs=1e-9)
 
 

@@ -178,3 +178,9 @@ def test_optimize_stdout_and_out_carry_the_same_document(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text() == captured.out
+
+
+def test_optimize_grid_rejects_a_starting_scheme(capsys):
+    argv = ["optimize", "--network", NET2, "--scheme", SCH2, "--aux-sizes", "1,1,1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --scheme needs --method")

@@ -30,8 +30,6 @@ def test_config_validation():
         SearchConfig(method="anneal")
     with pytest.raises(ValueError):
         SearchConfig(resolution=1)
-    with pytest.raises(ValueError):
-        SearchConfig(restarts=0)
 
 
 def test_resolution_two_enumerates_vertices():
