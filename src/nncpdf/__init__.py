@@ -64,7 +64,7 @@ from .omega import (
     unfold_network,
     validate_omega,
 )
-from .optimize import SearchConfig, coordinate_ascent, embed_scheme, grid_search, optimize
+from .optimize import SearchConfig, coordinate_ascent, embed_scheme, grid_search
 from .probability import (
     InfoAtom,
     JointDistribution,

@@ -231,7 +231,7 @@ def _cmd_simplify_check(args: argparse.Namespace) -> str:
     net, scheme = _load_pair(args)
     b = 2
     omega = build_nncpdf_omega(net, b)
-    layout = BlockLayout(message_rate_blocks=b)
+    layout = BlockLayout()
     unfolded = build_unfolded_joint(net, scheme, b)
     single = assemble_joint(net, scheme)
     rows = []

@@ -55,12 +55,10 @@ CHECK_B = 5
 class BlockLayout:
     """How unfolded variable labels map to independent blocks.
 
-    ``message_rate_blocks`` is the coefficient of R contributed by the
-    message's own entropy; ``allow_unblocked`` admits block-free labels
-    (single-block parameter sets) by placing them all in one group.
+    ``allow_unblocked`` admits block-free labels (single-block parameter
+    sets) by placing them all in one group.
     """
 
-    message_rate_blocks: int = 1
     allow_unblocked: bool = False
 
     def group_of(self, v: Var):
@@ -355,7 +353,7 @@ def derive_constraint_families(net: Network, B: int) -> dict[FamilyKey, Constrai
     per-subset auxiliary covering at the source, per-relay decoding and
     compression, and per-(destination, S, T) joint decoding."""
     omega = build_nncpdf_omega(net, B)
-    layout = BlockLayout(message_rate_blocks=B)
+    layout = BlockLayout()
     relays = list(range(2, net.N + 1))
     out: dict[FamilyKey, Constraint] = {}
 
@@ -457,34 +455,33 @@ def derive_symbolic_families(net: Network) -> dict[FamilyKey, Constraint]:
     return fitted
 
 
+def _project(
+    constraints: Iterable[Constraint], ineqs: Sequence[SymbolicInequality]
+) -> SymbolicRegion:
+    """Project ``ineqs`` onto R, with the atoms defined by ``constraints``."""
+    table: dict[str, InfoAtom] = {}
+    for c in constraints:
+        table.update(c.atom_table)
+    variables = sorted({v for i in ineqs for v in i.rates} | {"R"})
+    return project_to_R(SymbolicRegion(tuple(variables), tuple(ineqs), table))
+
+
 def derive_region(net: Network) -> SymbolicRegion:
     """The single-letter region: fitted B-affine families, large-B limit,
     then Fourier-Motzkin projection onto the message rate R."""
-    fitted = derive_symbolic_families(net)
-    limited = asymptotic_system([c.inequality for c in fitted.values()])
-    table: dict[str, InfoAtom] = {}
-    for c in fitted.values():
-        table.update(c.atom_table)
-    variables = sorted({v for i in limited for v in i.rates} | {"R"})
-    region = SymbolicRegion(tuple(variables), tuple(limited), table)
-    return project_to_R(region)
+    fitted = derive_symbolic_families(net).values()
+    return _project(fitted, asymptotic_system([c.inequality for c in fitted]))
 
 
 def derive_p2p_region() -> SymbolicRegion:
     """Two-node sanity pipeline: generate, simplify, project."""
     omega = build_p2p_omega()
-    layout = BlockLayout(message_rate_blocks=1, allow_unblocked=True)
+    layout = BlockLayout(allow_unblocked=True)
     constraints: list[Constraint] = []
     for node in omega.nodes:
         constraints += generate_constraints(omega, node)
     simplified = [simplify_constraint(c, layout) for c in constraints]
-    table: dict[str, InfoAtom] = {}
-    for c in simplified:
-        table.update(c.atom_table)
-    ineqs = tuple(c.inequality for c in simplified)
-    variables = sorted({v for i in ineqs for v in i.rates} | {"R"})
-    region = SymbolicRegion(tuple(variables), ineqs, table)
-    return project_to_R(region)
+    return _project(simplified, [c.inequality for c in simplified])
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,7 @@ class OmegaParameters:
     nodes: tuple[Node, ...]  # processing order
     observations: dict[Node, frozenset[Var]] = field(default_factory=dict)
     rate_of: dict[IndexId, str | None] = field(default_factory=dict)
-    covering_pmfs: dict[Node, str] = field(default_factory=dict)
     message_rate_blocks: int = 1
-
-    def order(self, code: CodeId) -> int:
-        return self.codebooks.index(code)
 
     def gamma_of(self, codes) -> frozenset[IndexId]:
         out: set[IndexId] = set()
@@ -223,20 +219,17 @@ def build_nncpdf_omega(net: Network, B: int) -> OmegaParameters:
     covering: dict[Node, frozenset[CodeId]] = {}
     decoded: dict[Node, frozenset[CodeId]] = {}
     nonunique: dict[Node, frozenset[CodeId]] = {}
-    pmfs: dict[Node, str] = {}
 
     w11 = {m_code} | {CodeId("X1", 1, b) for b in blocks}
     w11 |= {CodeId(c, k, b) for c in ("U", "V") for k in relays for b in blocks}
     covering[(1, 1)] = frozenset(w11)
     decoded[(1, 1)] = frozenset()
     nonunique[(1, 1)] = frozenset()
-    pmfs[(1, 1)] = "message copy x independent per-block head pmfs"
 
     for k in relays:
         covering[(k, 1)] = frozenset({CodeId("X", k, 1)})
         decoded[(k, 1)] = frozenset({CodeId("V", k, 1)})
         nonunique[(k, 1)] = frozenset()
-        pmfs[(k, 1)] = f"input kernel p(x{k}|v{k}) at block 1"
     for b in range(2, B + 1):
         covering[(1, b)] = frozenset()
         decoded[(1, b)] = covering[(1, 1)]
@@ -252,9 +245,6 @@ def build_nncpdf_omega(net: Network, B: int) -> OmegaParameters:
                 {CodeId("Yhat", k, b - 1), CodeId("X", k, b)}
             )
             nonunique[(k, b)] = frozenset()
-            pmfs[(k, b)] = (
-                f"compressor for block {b - 1} x input kernel for block {b}"
-            )
             w_hist |= covering[(k, b)]
             d_hist |= decoded[(k, b)]
     for d in sorted(net.destinations):
@@ -317,7 +307,6 @@ def build_nncpdf_omega(net: Network, B: int) -> OmegaParameters:
         nodes=nodes,
         observations=observations,
         rate_of=rate_of,
-        covering_pmfs=pmfs,
         message_rate_blocks=B,
     )
 
@@ -346,7 +335,6 @@ def build_p2p_omega() -> OmegaParameters:
             (2, 1): frozenset({Var("Y2")}),
         },
         rate_of={l0: "r0"},
-        covering_pmfs={(1, 1): "message copy x channel input pmf"},
         message_rate_blocks=1,
     )
 

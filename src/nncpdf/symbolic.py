@@ -164,81 +164,84 @@ class SymbolicRegion:
         return "\n".join(str(i.normalized()) for i in self.inequalities)
 
 
+def _sum(a: Mapping[str, AffB], b: Mapping[str, AffB]) -> dict[str, AffB]:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return out
+
+
 def eliminate_variable(region: SymbolicRegion, v: str) -> SymbolicRegion:
-    """One Fourier-Motzkin step removing ``v`` by pairwise combination."""
+    """One Fourier-Motzkin step removing ``v`` by pairwise combination.
+
+    Raises ``EliminationTooLarge`` before combining when the predicted row
+    count, the rows without ``v`` plus one per (upper, lower) pair, passes
+    ``MAX_INEQUALITIES``.
+    """
     if v not in region.variables:
         raise ValueError(f"{v!r} not among region variables")
-    uppers, lowers, keep = [], [], []
+    uppers, lowers, out = [], [], []
     for raw in region.inequalities:
         ineq = raw.normalized()
         c = ineq.rates.get(v)
         if c is None:
-            keep.append(ineq)
+            out.append(ineq)
             continue
         cf = c.const()  # FME needs B-free pivots
-        scaled = ineq.scaled(Fraction(1, 1) / abs(cf))
-        (uppers if cf > 0 else lowers).append(scaled)
-    out = list(keep)
+        (uppers if cf > 0 else lowers).append(ineq.scaled(1 / abs(cf)))
+    predicted = len(out) + len(uppers) * len(lowers)
+    if predicted > MAX_INEQUALITIES:
+        raise EliminationTooLarge(
+            f"eliminating {v!r} from {len(region.inequalities)} rows "
+            f"({len(uppers)} upper x {len(lowers)} lower bounds): "
+            f"{predicted} predicted rows passed {MAX_INEQUALITIES} inequalities"
+        )
     for up in uppers:
         for lo in lowers:
-            rates = dict(up.rates)
-            for k, c in lo.rates.items():
-                rates[k] = rates.get(k, AffB()) + c
-            atoms = dict(up.atoms)
-            for k, c in lo.atoms.items():
-                atoms[k] = atoms.get(k, AffB()) + c
-            rates.pop(v, None)
-            rates = _clean(rates)
-            atoms = _clean(atoms)
-            if not rates and not atoms:
-                continue
-            out.append(
-                SymbolicInequality(rates, atoms, "<", up.strict or lo.strict)
-            )
-            if len(out) > MAX_INEQUALITIES:
-                raise EliminationTooLarge(
-                    f"eliminating {v!r} from {len(region.inequalities)} rows "
-                    f"({len(uppers)} upper x {len(lowers)} lower bounds) passed "
-                    f"{MAX_INEQUALITIES} inequalities"
+            # the scaled pivots cancel, so the constructor drops v
+            rates, atoms = _sum(up.rates, lo.rates), _sum(up.atoms, lo.atoms)
+            if any(rates.values()) or any(atoms.values()):
+                out.append(
+                    SymbolicInequality(rates, atoms, "<", up.strict or lo.strict)
                 )
     variables = tuple(x for x in region.variables if x != v)
     return SymbolicRegion(variables, tuple(out), region.atom_table)
 
 
+_ZERO = AffB()
+
+
+def _le(a: AffB, b: AffB) -> bool:
+    return a.c0 <= b.c0 and a.c1 <= b.c1
+
+
+def _atoms_le(a: Mapping[str, AffB], b: Mapping[str, AffB]) -> bool:
+    """Every coefficient in ``a`` is at most the matching one in ``b``."""
+    return all(_le(c, b.get(k, _ZERO)) for k, c in a.items()) and all(
+        k in a or _le(_ZERO, c) for k, c in b.items()
+    )
+
+
 def _prune(region: SymbolicRegion) -> SymbolicRegion:
-    """Remove syntactic duplicates, vacuous rows, and atom-wise dominated
-    rows (same left form, larger right side; atoms are nonnegative)."""
-    seen = {}
-    groups: dict[tuple, list[SymbolicInequality]] = {}
+    """Drop vacuous rows, keep the strict one of rows equal up to strictness,
+    and drop a row when another with the same left side has atom
+    coefficients no larger (atoms are nonnegative, so it implies it)."""
+    groups: dict[tuple, dict[tuple, SymbolicInequality]] = {}
     for raw in region.inequalities:
         ineq = raw.normalized()
-        if ineq.key() in seen:
-            continue
-        seen[ineq.key()] = ineq
-        if not ineq.rates and all(c.c0 >= 0 and c.c1 >= 0 for c in ineq.atoms.values()):
+        if not ineq.rates and all(_le(_ZERO, c) for c in ineq.atoms.values()):
             continue  # 0 <= nonnegative combination: vacuous under closure
-        lhs_key = tuple(sorted((k, v.c0, v.c1) for k, v in ineq.rates.items()))
-        groups.setdefault(lhs_key, []).append(ineq)
+        lhs, rhs, _, strict = ineq.key()
+        rows = groups.setdefault(lhs, {})
+        if strict or rhs not in rows:
+            rows[rhs] = ineq
     out = []
     for rows in groups.values():
-        kept = []
-        for cand in rows:
-            dominated = False
-            for other in rows:
-                if other is cand:
-                    continue
-                names = set(cand.atoms) | set(other.atoms)
-                oc = {n: other.atoms.get(n, AffB()) for n in names}
-                cc = {n: cand.atoms.get(n, AffB()) for n in names}
-                le = all(
-                    oc[n].c0 <= cc[n].c0 and oc[n].c1 <= cc[n].c1 for n in names
-                )
-                if le and other.key() != cand.key():
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(cand)
-        out.extend(kept)
+        rows = list(rows.values())
+        out += [
+            r for r in rows
+            if not any(o is not r and _atoms_le(o.atoms, r.atoms) for o in rows)
+        ]
     return SymbolicRegion(region.variables, tuple(out), region.atom_table)
 
 
@@ -254,39 +257,37 @@ def project_to_R(region: SymbolicRegion) -> SymbolicRegion:
 
 def evaluate_region(region: SymbolicRegion, atom_values: Mapping[str, float]) -> float:
     """Max feasible R under closure semantics; -inf if infeasible, +inf if
-    unbounded."""
+    unbounded.  HiGHS runs at 1e-10 tolerances (its default 1e-7 moves the
+    value by as much, past the 1e-9 values are compared to), so a system
+    infeasible by less than 1e-10 reads as feasible."""
     from scipy.optimize import linprog
 
     variables = list(region.variables)
     if "R" not in variables:
         raise ValueError("region does not constrain R")
+    if not region.inequalities:
+        return float("inf")
     idx = {v: i for i, v in enumerate(variables)}
-    a_ub, b_ub = [], []
-    for raw in region.inequalities:
+    a_ub = np.zeros((len(region.inequalities), len(variables)))
+    b_ub = np.zeros(len(region.inequalities))
+    for r, raw in enumerate(region.inequalities):
         ineq = raw.normalized()
-        row = [0.0] * len(variables)
         for k, c in ineq.rates.items():
-            row[idx[k]] = float(c.const())
-        rhs = 0.0
+            a_ub[r, idx[k]] = float(c.const())
         for name, c in ineq.atoms.items():
             if name not in atom_values:
                 raise UnassignedAtom(name)
-            rhs += float(c.const()) * float(atom_values[name])
-        a_ub.append(row)
-        b_ub.append(rhs)
-    cost = [0.0] * len(variables)
+            b_ub[r] += float(c.const()) * float(atom_values[name])
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    lp = dict(A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs", options=tol)
+    cost = np.zeros(len(variables))
     cost[idx["R"]] = -1.0
-    if not a_ub:
-        return float("inf")
-    res = linprog(
-        cost,
-        A_ub=np.asarray(a_ub),
-        b_ub=np.asarray(b_ub),
-        bounds=[(None, None)] * len(variables),
-        method="highs",
-    )
+    res = linprog(cost, **lp)
     if res.status == 2:
-        return float("-inf")
+        # HiGHS presolve may call an unbounded problem infeasible; a zero
+        # objective tells the two apart
+        res = linprog(0 * cost, **lp)
+        return float("inf") if res.status == 0 else float("-inf")
     if res.status == 3:
         return float("inf")
     if not res.success:

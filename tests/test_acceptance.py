@@ -183,7 +183,7 @@ def test_criterion_07_simplifier_oracle():
     s = random_scheme(rng, net)
     b = 2
     omega = build_nncpdf_omega(net, b)
-    layout = BlockLayout(message_rate_blocks=b)
+    layout = BlockLayout()
     unfolded = build_unfolded_joint(net, s, b)
     single = assemble_joint(net, s)
     constraints = []

@@ -10,6 +10,8 @@ import pytest
 import scipy.optimize
 
 from nncpdf import cli, symbolic
+from nncpdf.bounds import nncpdf_bound
+from nncpdf.network import load_network_file, load_scheme
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NET2 = str(FIXTURES / "n2_noiseless_bit.network.json")
@@ -184,3 +186,14 @@ def test_optimize_grid_rejects_a_starting_scheme(capsys):
     argv = ["optimize", "--network", NET2, "--scheme", SCH2, "--aux-sizes", "1,1,1"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: --scheme needs --method")
+
+
+@pytest.mark.parametrize("sizes", [[], ["--aux-sizes", "2,2,2"]])
+def test_optimize_coordinate_ascent_from_a_random_start(sizes, capsys):
+    argv = ["optimize", "--network", NET2, "--method", "coordinate-ascent", *sizes]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    net = load_network_file(NET2)
+    report = nncpdf_bound(net, load_scheme(payload["scheme"], net.N))
+    assert report.feasible
+    assert report.bound == pytest.approx(payload["rate"], abs=1e-9)

@@ -34,7 +34,13 @@ from nncpdf.errors import (
 from nncpdf.network import random_network, random_scheme
 from nncpdf.omega import CodeId, IndexId, build_nncpdf_omega, build_p2p_omega
 from nncpdf.probability import InfoAtom, Var, mutual_information
-from nncpdf.symbolic import SymbolicInequality, AffB, evaluate_region, parse_inequality
+from nncpdf.symbolic import (
+    AffB,
+    SymbolicInequality,
+    SymbolicRegion,
+    evaluate_region,
+    parse_inequality,
+)
 
 
 def net3(seed=0, dests={3}):
@@ -61,7 +67,7 @@ def test_p2p_generation_yields_two_constraints():
 def test_relay_decoding_constraint_form():
     om = build_nncpdf_omega(net3(), 2)
     c = constraint_for_decoding(om, (2, 2), {IndexId("l", 2, 1)})
-    layout = BlockLayout(message_rate_blocks=2)
+    layout = BlockLayout()
     from nncpdf.derivation import simplify_constraint
 
     s = simplify_constraint(c, layout)
@@ -74,7 +80,7 @@ def test_relay_compression_constraint_form():
     c = constraint_for_compression(om, (2, 2), {IndexId("lp", 2, 1)})
     from nncpdf.derivation import simplify_constraint
 
-    s = simplify_constraint(c, BlockLayout(message_rate_blocks=2))
+    s = simplify_constraint(c, BlockLayout())
     assert dict(s.inequality.rates) == {"rp2": AffB(Fraction(1))}
     assert set(s.inequality.atoms) == {"I(Yhat2;Y2|U2,V2,X2)"}
 
@@ -114,7 +120,7 @@ def test_generation_guards_subset_blowup(monkeypatch):
 
 
 def test_simplify_splits_blocks():
-    layout = BlockLayout(message_rate_blocks=3)
+    layout = BlockLayout()
     atom = InfoAtom(
         frozenset({Var("U2", 1), Var("U2", 2)}),
         frozenset({Var("Y2", 1), Var("Y2", 2), Var("M")}),
@@ -126,17 +132,17 @@ def test_simplify_splits_blocks():
 
 
 def test_simplify_message_only_terms_vanish():
-    layout = BlockLayout(message_rate_blocks=2)
+    layout = BlockLayout()
     atom = InfoAtom(frozenset({Var("M")}), frozenset({Var("Y2", 1)}))
     assert simplify_info_term(atom, layout)[0] == {}
 
 
 def test_simplify_rejects_unblocked_labels():
-    layout = BlockLayout(message_rate_blocks=2)
+    layout = BlockLayout()
     atom = InfoAtom(frozenset({Var("A")}), frozenset({Var("B")}))
     with pytest.raises(UnsupportedLabeling):
         simplify_info_term(atom, layout)
-    relaxed = BlockLayout(message_rate_blocks=2, allow_unblocked=True)
+    relaxed = BlockLayout(allow_unblocked=True)
     assert simplify_info_term(atom, relaxed)[0] == {"I(A;B)": 1}
 
 
@@ -169,6 +175,27 @@ def test_derived_region_matches_direct_bound():
         direct = nncpdf_bound(net, s)
         value = evaluate_region(region, atom_values(net, s, region.atom_table))
         assert value == pytest.approx(direct.bound, abs=1e-9)
+
+
+@pytest.mark.parametrize("dests", [{3}, {2, 3}])
+def test_projection_matches_the_unprojected_lp(dests):
+    """The projected region and the large-B system it came from, with no
+    Fourier-Motzkin, have the same LP value on random atom vectors."""
+    net = net3(8, dests)
+    limited = asymptotic_system(
+        [c.inequality for c in derive_symbolic_families(net).values()]
+    )
+    variables = sorted({v for i in limited for v in i.rates})
+    unprojected = SymbolicRegion(tuple(variables), tuple(limited))
+    region = derive_region(net)
+    rng = np.random.default_rng(9)
+    finite = 0
+    for _ in range(10):
+        values = {name: float(rng.uniform(0.0, 1.0)) for name in region.atom_table}
+        want = evaluate_region(unprojected, values)
+        assert evaluate_region(region, values) == pytest.approx(want, abs=1e-9)
+        finite += np.isfinite(want)
+    assert finite >= 2  # most vectors give an infeasible {2,3} system
 
 
 def test_unfolded_joint_blocks_are_independent():

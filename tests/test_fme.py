@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nncpdf import symbolic
 from nncpdf.errors import (
@@ -75,6 +77,22 @@ def test_prune_drops_dominated_rows():
     assert [str(i) for i in out.inequalities] == ["R < I(A;B)"]
 
 
+def test_prune_keeps_the_strict_row_of_a_twin():
+    out = project_to_R(parse_region("R < I(A;B)\nR <= I(A;B)"))
+    assert [str(i) for i in out.inequalities] == ["R < I(A;B)"]
+    assert evaluate_region(out, {"I(A;B)": 1.0}) == pytest.approx(1.0, abs=1e-12)
+
+
+UNBOUNDED = "r2 < 0\nr1 + r2 > 0\nr1 < R + I(C;D)\nr1 > R + r2"
+
+
+def test_evaluate_region_unbounded_when_presolve_says_infeasible():
+    # R = t, r1 = t + 1/2, r2 = -1 is feasible for every t > 1/2
+    region = parse_region(UNBOUNDED)
+    assert evaluate_region(region, {"I(C;D)": 1.0}) == float("inf")
+    assert evaluate_region(project_to_R(region), {"I(C;D)": 1.0}) == float("inf")
+
+
 def test_evaluate_region_lp():
     region = parse_region("r > R\nr < I(A;B)\nR < 2*I(C;D)")
     val = evaluate_region(region, {"I(A;B)": 0.7, "I(C;D)": 0.25})
@@ -125,6 +143,58 @@ def test_elimination_cap_is_typed(monkeypatch):
     with pytest.raises(EliminationTooLarge, match=r"eliminating 'r' from 4 rows") as info:
         eliminate_variable(region, "r")
     assert isinstance(info.value, NncpdfError)
+
+
+def test_elimination_cap_is_checked_before_combining(monkeypatch):
+    region = parse_region(
+        "r + R < I(A;B)\nr + 2*R < I(C;D)\nr < 3*R\nr > 0\nr > R - I(A;B)\nR < I(C;D)"
+    )
+    monkeypatch.setattr(symbolic, "MAX_INEQUALITIES", 6)
+    combined = []
+    monkeypatch.setattr(symbolic, "_sum", lambda *a: combined.append(a))
+    with pytest.raises(EliminationTooLarge) as info:
+        eliminate_variable(region, "r")
+    assert combined == []
+    assert str(info.value) == (
+        "eliminating 'r' from 6 rows (3 upper x 2 lower bounds): "
+        "7 predicted rows passed 6 inequalities"
+    )
+
+
+RATES = ("R", "r1", "r2")
+ATOMS = ("I(A;B)", "I(C;D)")
+
+
+def _side(coeffs, names):
+    return " + ".join(f"{c}*{n}" for c, n in zip(coeffs, names) if c) or "0"
+
+
+@st.composite
+def systems(draw):
+    """Text of 1-6 rows over RATES and ATOMS with coefficients in [-2, 2]."""
+    coeffs = st.lists(st.integers(-2, 2), min_size=5, max_size=5).filter(any)
+    rows = []
+    for c in draw(st.lists(coeffs, min_size=1, max_size=6)):
+        op = draw(st.sampled_from(("<", "<=", ">", ">=")))
+        rows.append(f"{_side(c[:3], RATES)} {op} {_side(c[3:], ATOMS)}")
+    return "\n".join(rows)
+
+
+# Atom values are multiples of 1/8, so every slack between rows is 0 or far
+# above the LP tolerance: an LP decides feasibility only to its tolerance.
+eighths = st.integers(0, 16).map(lambda k: k / 8)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(systems(), st.tuples(eighths, eighths))
+@example("R < I(A;B)\nR <= I(A;B)", (1.0, 0.0))
+@example(UNBOUNDED, (0.0, 1.0))
+@example("R < r1\nr1 < I(A;B)\nr1 < 0", (1e-7, 0.0))  # HiGHS default tolerance
+def test_projection_keeps_the_lp_value(text, values):
+    region = SymbolicRegion(RATES, parse_region(text).inequalities)
+    atoms = dict(zip(ATOMS, values))
+    want = evaluate_region(region, atoms)  # approx(±inf) equals only itself
+    assert evaluate_region(project_to_R(region), atoms) == pytest.approx(want, abs=1e-9)
 
 
 class _FailedLP:

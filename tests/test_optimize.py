@@ -1,6 +1,8 @@
 """Unit tests for the scheme search: grid enumeration, coordinate ascent
 monotonicity and determinism, embedding, and error paths."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ def noiseless_bit_network():
         for x2 in range(2):
             ch[x1, x2, x2, x1] = 1.0
     return Network(2, (2, 2), (2, 2), ch, frozenset({2}))
+
+
+def test_optimize_names_the_submodule():
+    import nncpdf.optimize as m
+
+    assert isinstance(m, types.ModuleType)
+    assert callable(m.optimize)
 
 
 def test_config_validation():
