@@ -87,3 +87,7 @@ class EliminationTooLarge(NncpdfError):
 
 class LPFailed(NncpdfError):
     """The linear-programming solver failed on a region evaluation."""
+
+
+class CoefficientOverflow(NncpdfError):
+    """A Fourier-Motzkin coefficient would not fit the int64 integer rows."""

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 import scipy.optimize
 
-from nncpdf import cli, symbolic
+from nncpdf import cli, derivation, symbolic
 from nncpdf.bounds import nncpdf_bound
 from nncpdf.network import load_network_file, load_scheme
+from nncpdf.symbolic import parse_inequality
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NET2 = str(FIXTURES / "n2_noiseless_bit.network.json")
@@ -127,6 +128,27 @@ def test_derive_elimination_cap_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: eliminating ")
     assert "passed 3 inequalities" in err
+
+
+def test_derive_n4_prints_the_projected_rows(capsys):
+    assert cli.main(["derive", "--N", "4"]) == 0
+    rows = capsys.readouterr().out.split("projected region:\n", 1)[1].splitlines()
+    assert rows
+    assert all(set(parse_inequality(row).rates) <= {"R"} for row in rows)
+
+
+def test_derive_coefficient_overflow_exits_1(monkeypatch, capsys):
+    # derived coefficients stay single-digit, so no network reaches the
+    # int64 limit; two injected rows with 2**40 coefficients on r1 do
+    big = 2 ** 40
+    rows = [
+        parse_inequality(f"{big}*r1 < {big + 1}*I(X1;Y3)"),
+        parse_inequality(f"{big + 1}*r1 > {big}*I(X1;Y2)"),
+    ]
+    limit = derivation.asymptotic_system
+    monkeypatch.setattr(derivation, "asymptotic_system", lambda c: limit(c) + rows)
+    assert cli.main(["derive", "--N", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: eliminating 'r1': ")
 
 
 def test_derive_lp_failure_exits_1(monkeypatch, capsys):

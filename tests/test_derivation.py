@@ -167,21 +167,24 @@ def test_constraint_families_are_affine_in_b():
 
 
 def test_derived_region_matches_direct_bound():
-    net = net3(2)
-    region = derive_region(net)
     rng = np.random.default_rng(3)
-    for _ in range(3):
-        s = random_feasible_scheme(rng, net)
-        direct = nncpdf_bound(net, s)
-        value = evaluate_region(region, atom_values(net, s, region.atom_table))
-        assert value == pytest.approx(direct.bound, abs=1e-9)
+    n4 = random_network(np.random.default_rng(2), 4)
+    for net, draws in ((net3(2), 3), (n4, 2)):
+        region = derive_region(net)
+        for _ in range(draws):
+            s = random_feasible_scheme(rng, net)
+            direct = nncpdf_bound(net, s)
+            value = evaluate_region(region, atom_values(net, s, region.atom_table))
+            assert value == pytest.approx(direct.bound, abs=1e-9)
 
 
-@pytest.mark.parametrize("dests", [{3}, {2, 3}])
+@pytest.mark.parametrize("dests", [{3}, {2, 3}, {3, 4}, {2, 3, 4}, {5}])
 def test_projection_matches_the_unprojected_lp(dests):
     """The projected region and the large-B system it came from, with no
-    Fourier-Motzkin, have the same LP value on random atom vectors."""
-    net = net3(8, dests)
+    Fourier-Motzkin, have the same LP value on atom vectors of schemes with
+    unit auxiliaries (feasible: finite values) and on uniform ones."""
+    n = max(dests)  # the last node is a destination in every case
+    net = random_network(np.random.default_rng(8), n, destinations=dests)
     limited = asymptotic_system(
         [c.inequality for c in derive_symbolic_families(net).values()]
     )
@@ -189,13 +192,18 @@ def test_projection_matches_the_unprojected_lp(dests):
     unprojected = SymbolicRegion(tuple(variables), tuple(limited))
     region = derive_region(net)
     rng = np.random.default_rng(9)
+    ones = (1,) * (n - 1)
     finite = 0
-    for _ in range(10):
-        values = {name: float(rng.uniform(0.0, 1.0)) for name in region.atom_table}
+    for k in range(10):
+        if k % 2:
+            values = {name: float(rng.uniform(0.0, 1.0)) for name in region.atom_table}
+        else:
+            scheme = random_scheme(rng, net, ones, ones)
+            values = atom_values(net, scheme, region.atom_table)
         want = evaluate_region(unprojected, values)
         assert evaluate_region(region, values) == pytest.approx(want, abs=1e-9)
         finite += np.isfinite(want)
-    assert finite >= 2  # most vectors give an infeasible {2,3} system
+    assert finite >= 2  # most uniform vectors give an infeasible system
 
 
 def test_unfolded_joint_blocks_are_independent():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nncpdf import symbolic
 from nncpdf.errors import (
+    CoefficientOverflow,
     EliminationTooLarge,
     LPFailed,
     NncpdfError,
@@ -83,6 +84,11 @@ def test_prune_keeps_the_strict_row_of_a_twin():
     assert evaluate_region(out, {"I(A;B)": 1.0}) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_prune_keeps_the_strict_row_of_a_twin_listed_second():
+    out = project_to_R(parse_region("R <= I(A;B)\nR < I(A;B)"))
+    assert [str(i) for i in out.inequalities] == ["R < I(A;B)"]
+
+
 UNBOUNDED = "r2 < 0\nr1 + r2 > 0\nr1 < R + I(C;D)\nr1 > R + r2"
 
 
@@ -151,7 +157,7 @@ def test_elimination_cap_is_checked_before_combining(monkeypatch):
     )
     monkeypatch.setattr(symbolic, "MAX_INEQUALITIES", 6)
     combined = []
-    monkeypatch.setattr(symbolic, "_sum", lambda *a: combined.append(a))
+    monkeypatch.setattr(symbolic, "_combine", lambda *a: combined.append(a))
     with pytest.raises(EliminationTooLarge) as info:
         eliminate_variable(region, "r")
     assert combined == []
@@ -161,7 +167,15 @@ def test_elimination_cap_is_checked_before_combining(monkeypatch):
     )
 
 
-RATES = ("R", "r1", "r2")
+def test_coefficient_overflow_is_typed():
+    big = 2 ** 40
+    region = parse_region(f"{big}*r < {big + 1}*I(A;B)\n{big + 1}*r > {big}*I(C;D)")
+    with pytest.raises(CoefficientOverflow, match=r"eliminating 'r': ") as info:
+        eliminate_variable(region, "r")
+    assert isinstance(info.value, NncpdfError)
+
+
+RATES = ("R", "r1", "r2", "r3")
 ATOMS = ("I(A;B)", "I(C;D)")
 
 
@@ -172,11 +186,11 @@ def _side(coeffs, names):
 @st.composite
 def systems(draw):
     """Text of 1-6 rows over RATES and ATOMS with coefficients in [-2, 2]."""
-    coeffs = st.lists(st.integers(-2, 2), min_size=5, max_size=5).filter(any)
+    coeffs = st.lists(st.integers(-2, 2), min_size=6, max_size=6).filter(any)
     rows = []
     for c in draw(st.lists(coeffs, min_size=1, max_size=6)):
         op = draw(st.sampled_from(("<", "<=", ">", ">=")))
-        rows.append(f"{_side(c[:3], RATES)} {op} {_side(c[3:], ATOMS)}")
+        rows.append(f"{_side(c[:4], RATES)} {op} {_side(c[4:], ATOMS)}")
     return "\n".join(rows)
 
 
@@ -190,6 +204,14 @@ eighths = st.integers(0, 16).map(lambda k: k / 8)
 @example("R < I(A;B)\nR <= I(A;B)", (1.0, 0.0))
 @example(UNBOUNDED, (0.0, 1.0))
 @example("R < r1\nr1 < I(A;B)\nr1 < 0", (1e-7, 0.0))  # HiGHS default tolerance
+# the second elimination skips its only pair, made of all four rows (Kohler)
+@example(
+    "R + r1 + -1*r3 <= 0\nR + r1 + r3 < 0\n-1*r1 + -1*r3 < I(A;B)\n"
+    "R + -1*r1 + r3 <= -1*I(A;B)",
+    (0.5, 0.0),
+)
+# R < I(A;B), from two rows, drops R < I(A;B) + I(C;D) and takes its history
+@example("R < I(A;B) + I(C;D)\nR < r1\nr1 < I(A;B)", (0.5, 0.25))
 def test_projection_keeps_the_lp_value(text, values):
     region = SymbolicRegion(RATES, parse_region(text).inequalities)
     atoms = dict(zip(ATOMS, values))
